@@ -1,5 +1,6 @@
 #include "core/softcore.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,14 @@
 #include "cc/cc_unit.h"
 
 namespace bionicdb::core {
+
+namespace {
+// Parameter-fill cookie: admission tag, context slot, window word.
+constexpr uint64_t kFillSlotShift = 6;
+constexpr uint64_t kFillSlotMask = 0xff;
+constexpr uint64_t kFillTagShift = 14;
+static_assert(Softcore::kParamWindowWords == 1u << kFillSlotShift);
+}  // namespace
 
 Softcore::Softcore(db::Database* db, db::WorkerId worker_id,
                    const sim::TimingConfig& timing, Config config,
@@ -20,7 +29,9 @@ Softcore::Softcore(db::Database* db, db::WorkerId worker_id,
       gp_(config.n_gp_regs, 0),
       cp_(config.n_cp_regs, 0),
       cp_valid_(config.n_cp_regs, 1),
-      contexts_(config.max_contexts) {}
+      contexts_(config.max_contexts) {
+  assert(config.max_contexts <= kFillSlotMask + 1);
+}
 
 uint64_t& Softcore::Gp(uint32_t ctx, isa::Reg r) {
   uint32_t idx = contexts_[ctx].gp_base + r;
@@ -65,6 +76,10 @@ void Softcore::CompleteRemoteLoad(uint64_t now, const comm::Envelope& result) {
 }
 
 void Softcore::Tick(uint64_t now) {
+  // Fills land in the DRAM tick ahead of this one; marking them ready
+  // every tick (even mid-instruction) keeps readiness a function of the
+  // completion cycle alone, identical under every simulation mode.
+  if (!param_resp_.empty()) DrainParamFills();
   if (now < busy_until_) return;
   switch (state_) {
     case State::kIdle: {
@@ -124,6 +139,16 @@ void Softcore::Tick(uint64_t now) {
         Gp(cur_ctx_, pending_inst_.rd) = dram_->Read64(addr);
         state_ = State::kRunning;
         busy_until_ = now + 1;
+      }
+      return;
+    case State::kParamWait:
+      if (contexts_[cur_ctx_].param_ready & (1ull << param_wait_word_)) {
+        Gp(cur_ctx_, pending_inst_.rd) =
+            contexts_[cur_ctx_].param_words[param_wait_word_];
+        state_ = State::kRunning;
+        busy_until_ = now + 1;
+      } else {
+        fc_param_fill_wait_.Add();
       }
       return;
     case State::kWaitCp: {
@@ -308,6 +333,7 @@ void Softcore::BeginTxn(uint64_t now) {
   gp_[ctx.gp_base] = ctx.block_base + db::kTxnBlockHeaderSize;
   // Mark this transaction's CP registers pending-free.
   for (uint32_t i = 0; i < cp_need; ++i) cp_valid_[ctx.cp_base + i] = 1;
+  IssueParamFills(now, slot);
 
   pending_block_ = sim::kNullAddr;
   cur_ctx_ = slot;
@@ -315,6 +341,51 @@ void Softcore::BeginTxn(uint64_t now) {
   // Catalogue fetch (BRAM) + first IFetch.
   busy_until_ = now + timing_.cpu_instruction_cycles;
   fc_txns_admitted_.Add();
+}
+
+void Softcore::IssueParamFills(uint64_t now, uint32_t slot) {
+  TxnContext& ctx = contexts_[slot];
+  const std::vector<int64_t>& offsets = ctx.proc->program.param_offsets();
+  if (offsets.empty()) return;
+  ctx.fill_tag = next_fill_tag_++;
+  const sim::Addr data = ctx.block_base + db::kTxnBlockHeaderSize;
+  const size_t n = std::min<size_t>(offsets.size(), kParamWindowWords);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t cookie = (ctx.fill_tag << kFillTagShift) |
+                            (uint64_t(slot) << kFillSlotShift) | i;
+    // A rejected fill leaves its word unbuffered: that LOAD goes to DRAM.
+    if (dram_->Issue(now, data + offsets[i], false, &param_resp_, cookie,
+                     /*snapshot_words=*/1)) {
+      ctx.param_buffered |= 1ull << i;
+      fc_param_prefetch_words_.Add();
+    }
+  }
+}
+
+void Softcore::DrainParamFills() {
+  while (!param_resp_.empty()) {
+    const sim::MemResponse& resp = param_resp_.front();
+    TxnContext& ctx =
+        contexts_[(resp.cookie >> kFillSlotShift) & kFillSlotMask];
+    const uint64_t word = resp.cookie & (kParamWindowWords - 1);
+    // A word this transaction already STOREd keeps the stored value.
+    if (ctx.in_use && ctx.fill_tag == resp.cookie >> kFillTagShift &&
+        !(ctx.param_ready & (1ull << word))) {
+      ctx.param_words[word] = resp.data[0];
+      ctx.param_ready |= 1ull << word;
+    }
+    param_resp_.pop_front();
+  }
+}
+
+int Softcore::ParamWord(const TxnContext& ctx, int64_t offset) const {
+  if (ctx.param_buffered == 0) return -1;
+  const std::vector<int64_t>& offsets = ctx.proc->program.param_offsets();
+  const auto it = std::lower_bound(offsets.begin(), offsets.end(), offset);
+  if (it == offsets.end() || *it != offset) return -1;
+  const auto word = it - offsets.begin();
+  if (word >= kParamWindowWords) return -1;
+  return (ctx.param_buffered >> word) & 1 ? int(word) : -1;
 }
 
 void Softcore::CompleteRet(uint64_t now, const isa::Instruction& inst) {
@@ -347,8 +418,19 @@ void Softcore::CompleteRet(uint64_t now, const isa::Instruction& inst) {
 void Softcore::Execute(uint64_t now) {
   TxnContext& ctx = contexts_[cur_ctx_];
   const isa::Instruction& inst = ctx.proc->program.at(ctx.pc);
-  ++stats_.instructions;
   const uint64_t cost = timing_.cpu_instruction_cycles;
+  if ((inst.opcode == isa::Opcode::kCommit ||
+       inst.opcode == isa::Opcode::kAbort) &&
+      ctx.outstanding_db > 0) {
+    // All DB instructions must have returned (late results may still add
+    // write-set entries); the COMMIT/ABORT retires only after the drain.
+    (inst.opcode == isa::Opcode::kCommit ? fc_commit_wait_ : fc_abort_wait_)
+        .Add();
+    return;
+  }
+  // Counted at execution; the two paths that re-execute the same
+  // instruction later (DRAM-rejected LOAD, dynamic RET park) take it back.
+  ++stats_.instructions;
 
   if (isa::IsDbOpcode(inst.opcode)) {
     ExecuteDb(now, inst);
@@ -392,10 +474,28 @@ void Softcore::Execute(uint64_t now) {
       return;
     }
     case Opcode::kLoad: {
-      uint64_t addr = Gp(cur_ctx_, inst.rs1) + inst.imm;
+      const uint64_t addr = Gp(cur_ctx_, inst.rs1) + inst.imm;
+      const int word = inst.rs1 == 0 ? ParamWord(ctx, inst.imm) : -1;
+      const bool remote = !dram_->IsLocalTo(addr, worker_id_);
+      if (word < 0 && !remote &&
+          !dram_->Issue(now, addr, false, &mem_resp_, 0)) {
+        // Not retired: the issue retries next tick at this instruction.
+        --stats_.instructions;
+        fc_load_dram_stall_.Add();
+        return;
+      }
       pending_inst_ = inst;
       ++ctx.pc;
-      if (!dram_->IsLocalTo(addr, worker_id_)) {
+      busy_until_ = now + cost;  // IF/DE/EX overlap the access
+      if (word >= 0) {
+        fc_param_window_hits_.Add();
+        if (ctx.param_ready & (1ull << word)) {
+          Gp(cur_ctx_, inst.rd) = ctx.param_words[word];
+        } else {
+          param_wait_word_ = word;
+          state_ = State::kParamWait;
+        }
+      } else if (remote) {
         // Foreign partition's arena: the fetch rides the fabric to the
         // owner's island (its lane, its timing) and the value comes back as
         // a mem_load response routed to CompleteRemoteLoad.
@@ -403,18 +503,10 @@ void Softcore::Execute(uint64_t now) {
                      MakeMemOp(comm::MemOp::Kind::kLoad, addr));
         remote_mem_wait_ = true;
         state_ = State::kMemWait;
-        busy_until_ = now + cost;
         counters_.Add("remote_loads");
-        return;
+      } else {
+        state_ = State::kMemWait;
       }
-      if (!dram_->Issue(now, addr, false, &mem_resp_, 0)) {
-        // Retry the issue next tick by staying at this instruction.
-        --ctx.pc;
-        fc_load_dram_stall_.Add();
-        return;
-      }
-      state_ = State::kMemWait;
-      busy_until_ = now + cost;  // IF/DE/EX overlap the DRAM access
       return;
     }
     case Opcode::kStore: {
@@ -433,6 +525,15 @@ void Softcore::Execute(uint64_t now) {
         return;
       }
       dram_->Write64(addr, Gp(cur_ctx_, inst.rs1));
+      if (inst.rs2 == 0) {
+        // Write-through: the on-chip copy takes the value now, and a fill
+        // still in flight no longer holds up a LOAD of this word.
+        const int word = ParamWord(ctx, inst.imm);
+        if (word >= 0) {
+          ctx.param_words[word] = Gp(cur_ctx_, inst.rs1);
+          ctx.param_ready |= 1ull << word;
+        }
+      }
       // Posted write: charged to bandwidth, does not stall the core.
       dram_->Issue(now, addr, true, nullptr, 0);
       ++ctx.pc;
@@ -473,6 +574,7 @@ void Softcore::Execute(uint64_t now) {
           // lands (the section 4.5 future-work extension).
           ctx.waiting_cp = true;
           ctx.wait_cp_index = idx;
+          --stats_.instructions;  // re-executed on resume
           ++stats_.context_switches;
           counters_.Add("dynamic_parks");
           busy_until_ = now + timing_.context_switch_cycles;
@@ -503,10 +605,6 @@ void Softcore::Execute(uint64_t now) {
       return;
     }
     case Opcode::kCommit: {
-      if (ctx.outstanding_db > 0) {
-        fc_commit_wait_.Add();
-        return;  // all DB instructions must have returned
-      }
       if (StartTwoPc(now, /*want_commit=*/true)) return;
       for (const cc::WriteSetEntry& e : ctx.write_set) {
         if (!dram_->IsLocalTo(e.tuple_addr, worker_id_)) {
@@ -538,10 +636,6 @@ void Softcore::Execute(uint64_t now) {
       return;
     }
     case Opcode::kAbort: {
-      if (ctx.outstanding_db > 0) {
-        fc_abort_wait_.Add();
-        return;  // late results may still add write-set entries
-      }
       if (StartTwoPc(now, /*want_commit=*/false)) return;
       for (const cc::WriteSetEntry& e : ctx.write_set) {
         if (!dram_->IsLocalTo(e.tuple_addr, worker_id_)) {
@@ -875,6 +969,13 @@ uint64_t Softcore::NextWakeCycle(uint64_t now) const {
     case State::kFetchBlock:
     case State::kMemWait:
       return mem_resp_.empty() ? sim::kNeverWakes : now + 1;
+    case State::kParamWait:
+      // The fill's DRAM completion is the lane's own wake point, and the
+      // tick drains it before this state looks. A fill drained while the
+      // LOAD's instruction timer still ran is already ready: resume then.
+      return contexts_[cur_ctx_].param_ready & (1ull << param_wait_word_)
+                 ? now + 1
+                 : sim::kNeverWakes;
     case State::kRunning: {
       const TxnContext& ctx = contexts_[cur_ctx_];
       const isa::Instruction& inst = ctx.proc->program.at(ctx.pc);
@@ -917,6 +1018,10 @@ void Softcore::SkipCycles(uint64_t now, uint64_t count) {
     fc_ret_wait_.Add(count);
     return;
   }
+  if (state_ == State::kParamWait) {
+    fc_param_fill_wait_.Add(count);
+    return;
+  }
   if (state_ == State::kTwoPcPrepare) {
     // Only the all-sent ack wait is ever skipped (unsent participants pin
     // the wake to now + 1); mirrors the per-tick wait counter exactly.
@@ -929,15 +1034,11 @@ void Softcore::SkipCycles(uint64_t now, uint64_t count) {
   }
   if (state_ == State::kRunning) {
     // Only the COMMIT/ABORT result-drain spin is ever skipped in
-    // kRunning; each spin cycle executes the instruction fetch (one
-    // instruction retired per Execute call) plus the wait counter.
+    // kRunning; it retires nothing, so only the wait counter moves.
     const TxnContext& ctx = contexts_[cur_ctx_];
     const isa::Instruction& inst = ctx.proc->program.at(ctx.pc);
-    stats_.instructions += count;
-    (inst.opcode == isa::Opcode::kCommit ? fc_commit_wait_
-                                                  : fc_abort_wait_)
-        .Add(
-                  count);
+    (inst.opcode == isa::Opcode::kCommit ? fc_commit_wait_ : fc_abort_wait_)
+        .Add(count);
   }
 }
 

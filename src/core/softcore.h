@@ -17,9 +17,18 @@
 // (blocking), and any error status diverts control to the abort handler.
 // COMMIT/ABORT finally publish or roll back the hardware-tracked write-set
 // and stamp the transaction block's commit state.
+//
+// Parameter window: at admission the softcore reads the words its program
+// LOADs through r0 (isa::Program::param_offsets — host-written parameters
+// and the transaction's own UNDO slots) into a per-context on-chip copy.
+// A LOAD of such a word then costs one instruction once its fill has
+// returned (or the transaction's own STORE to it has landed) instead of a
+// blocking DRAM round trip. STOREs stay write-through, so the block in
+// DRAM never diverges from the window.
 #ifndef BIONICDB_CORE_SOFTCORE_H_
 #define BIONICDB_CORE_SOFTCORE_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -95,6 +104,11 @@ class Softcore {
     uint64_t instructions = 0;
   };
 
+  /// Parameter-window capacity in 8-byte words per context (one ready bit
+  /// per word in a 64-bit mask). A program's further param_offsets() go
+  /// to DRAM as ordinary LOADs.
+  static constexpr uint32_t kParamWindowWords = 64;
+
   Softcore(db::Database* db, db::WorkerId worker_id,
            const sim::TimingConfig& timing, Config config,
            comm::IssuePort* port);
@@ -126,11 +140,12 @@ class Softcore {
   /// Event-driven scheduling hint (contract in sim/component.h): the
   /// fixed-cost execution timer is a pure no-op until busy_until_; stalled
   /// states that spin a per-cycle counter (RET wait, COMMIT/ABORT result
-  /// drain) are quiescent-with-bulk-accounting and wake via the worker's
-  /// own hints (result routing fills the CP registers).
+  /// drain, parameter-fill wait) are quiescent-with-bulk-accounting and
+  /// wake via the worker's own hints (result routing fills the CP
+  /// registers) or the DRAM lane's completion of the awaited fill.
   uint64_t NextWakeCycle(uint64_t now) const;
   /// Bulk-applies the per-cycle counters a quiescent span would have
-  /// accumulated (ret/commit/abort wait counters, spin instructions).
+  /// accumulated (ret/commit/abort/parameter-fill wait counters).
   void SkipCycles(uint64_t now, uint64_t count);
 
   const BatchStats& stats() const { return stats_; }
@@ -157,6 +172,7 @@ class Softcore {
       case State::kIngestRetry:
       case State::kFetchBlock:
       case State::kMemWait:
+      case State::kParamWait:
         return WaitKind::kDramWait;
       case State::kWaitCp:
         return WaitKind::kCpWait;
@@ -190,6 +206,7 @@ class Softcore {
     kFetchBlock,  // waiting for the transaction-block ingest read
     kRunning,     // executing instructions
     kMemWait,     // LOAD waiting on DRAM
+    kParamWait,   // LOAD waiting on its parameter-window fill
     kWaitCp,      // RET blocked on a pending CP register
     kDispatchRetry,  // local coprocessor at capacity / send window full
     kSwitching,   // context switch in progress
@@ -217,6 +234,14 @@ class Softcore {
     // Status-register flags (saved/restored with the context, section 4.3).
     bool flag_eq = false;
     bool flag_lt = false;
+    // Parameter window: word i holds proc->program.param_offsets()[i].
+    // Buffered = its fill read was accepted; ready = the fill returned or
+    // this transaction STOREd the word. fill_tag matches fills to this
+    // admission (a slot can be reused while an older fill is in flight).
+    std::array<uint64_t, kParamWindowWords> param_words{};
+    uint64_t param_buffered = 0;
+    uint64_t param_ready = 0;
+    uint64_t fill_tag = 0;
     std::vector<cc::WriteSetEntry> write_set;
   };
 
@@ -226,6 +251,13 @@ class Softcore {
   bool TryAdmit(uint64_t now);
   /// Called when the ingest read returns: builds the context, begins logic.
   void BeginTxn(uint64_t now);
+  /// Issues the parameter-window fill reads for a freshly admitted context.
+  void IssueParamFills(uint64_t now, uint32_t slot);
+  /// Copies every returned fill into its (still current) context's window.
+  void DrainParamFills();
+  /// Window bit of the r0-relative word at `offset`, or -1 when that word
+  /// is not buffered for the current context.
+  int ParamWord(const TxnContext& ctx, int64_t offset) const;
   /// Executes one instruction of the current context.
   void Execute(uint64_t now);
   void ExecuteDb(uint64_t now, const isa::Instruction& inst);
@@ -265,6 +297,11 @@ class Softcore {
 
   sim::RingQueue<sim::Addr> input_queue_;
   sim::MemResponseQueue mem_resp_;
+  /// Parameter-window fill completions (cookie = tag, slot, word).
+  sim::MemResponseQueue param_resp_;
+  uint64_t next_fill_tag_ = 0;
+  /// kParamWait: window bit of the LOAD's word.
+  int param_wait_word_ = 0;
 
   // Register files (BRAM).
   std::vector<uint64_t> gp_;
@@ -332,6 +369,9 @@ class Softcore {
                                      "twopc_prepare_wait_cycles"};
   FastCounter fc_twopc_decision_wait_{&counters_,
                                       "twopc_decision_wait_cycles"};
+  FastCounter fc_param_prefetch_words_{&counters_, "param_prefetch_words"};
+  FastCounter fc_param_window_hits_{&counters_, "param_window_hits"};
+  FastCounter fc_param_fill_wait_{&counters_, "param_fill_wait_cycles"};
 };
 
 }  // namespace bionicdb::core

@@ -185,7 +185,7 @@ void PartitionWorker::Tick(uint64_t cycle) {
       // coprocessor was doing (or failing to do) on the core's behalf.
       if (coproc_->hazard_stalled()) {
         ++cycles_.hazard_block;
-      } else if (coproc_->dram_stalled()) {
+      } else if (coproc_->dram_stalled() || coproc_->dram_waiting(cycle)) {
         ++cycles_.dram_stall;
       } else if (!coproc_->Idle()) {
         ++cycles_.busy;
@@ -250,7 +250,7 @@ void PartitionWorker::SkipCycles(uint64_t now, uint64_t count) {
     case Softcore::WaitKind::kIdle:
       if (coproc_->hazard_stalled()) {
         cycles_.hazard_block += count;
-      } else if (coproc_->dram_stalled()) {
+      } else if (coproc_->dram_stalled() || coproc_->dram_waiting(now + 1)) {
         cycles_.dram_stall += count;
       } else if (!coproc_->Idle()) {
         cycles_.busy += count;

@@ -29,6 +29,7 @@ bool IndexCoprocessor::Submit(const comm::Envelope& env) {
     counters_.Add("cap_rejects");
     return false;
   }
+  dram_waiting_until_ = 0;  // new work may act before any DRAM completion
   const db::TableSchema* schema =
       db_->catalogue().FindTable(env.index_op().table);
   if (schema == nullptr) {

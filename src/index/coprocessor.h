@@ -10,6 +10,7 @@
 #define BIONICDB_INDEX_COPROCESSOR_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
@@ -84,13 +85,39 @@ class IndexCoprocessor : public sim::Component {
   bool hazard_stalled() const {
     return hash_->hazard_stalled() || skiplist_->hazard_stalled();
   }
+  /// Holds work that is waiting only on in-flight DRAM requests: every
+  /// non-idle pipeline is dram_waiting and no result awaits routing.
+  /// Nothing in such a coprocessor can act before one of its own reads
+  /// completes, and none completes before its lane's next completion, so
+  /// a true answer is reused until then (or until a Submit). The worker
+  /// asks on every RET-wait cycle, and re-scanning both pipelines each
+  /// time would dominate the host cost of a DRAM-bound cycle.
+  bool dram_waiting(uint64_t now) const {
+    if (now < dram_waiting_until_) {
+      assert(DramWaitingNow(now));
+      return true;
+    }
+    if (!DramWaitingNow(now)) return false;
+    const sim::DramMemory& dram = *db_->dram();
+    dram_waiting_until_ =
+        dram.LaneNextWake(dram.partitioned() ? partition_ : 0, now);
+    return true;
+  }
 
   /// Dumps coprocessor-level counters plus both pipelines under `scope`.
   void CollectStats(StatsScope scope) const;
 
  private:
+  bool DramWaitingNow(uint64_t now) const {
+    return results_.empty() && !Idle() &&
+           (hash_->Idle() || hash_->dram_waiting(now)) &&
+           (skiplist_->Idle() || skiplist_->dram_waiting(now));
+  }
+
   db::Database* db_;
   db::PartitionId partition_;
+  /// dram_waiting() holds true for every cycle before this one.
+  mutable uint64_t dram_waiting_until_ = 0;
   Config config_;
   ResultQueue results_;
   std::unique_ptr<HashPipeline> hash_;

@@ -125,6 +125,15 @@ class HashPipeline {
   /// hazard lock or a dirty tuple. The worker samples these to classify
   /// its cycle-breakdown buckets.
   bool dram_stalled() const { return tick_dram_stall_; }
+  /// True when the pipeline holds work and nothing in it can act before
+  /// one of its in-flight DRAM requests completes: no queued response, no
+  /// retry, lock stall, dirty-tuple poll or batch timer. A state predicate
+  /// (valid post-tick and across a skipped span), unlike the per-tick
+  /// flags, so a RET wait on a DRAM-bound op is charged to dram_stall.
+  bool dram_waiting(uint64_t now) const {
+    return !Idle() && !tick_hazard_stall_ &&
+           NextWakeCycle(now) == sim::kNeverWakes;
+  }
   bool hazard_stalled() const { return tick_hazard_stall_; }
 
   /// Dumps stage counters, slot occupancy and stall totals under `scope`.

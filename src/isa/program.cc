@@ -261,6 +261,35 @@ Instruction AluImm(Opcode op, Reg rd, Reg rs1, int64_t imm) {
   i.imm = imm;
   return i;
 }
+
+// Program::param_offsets(): every r0-relative LOAD offset, unless some
+// instruction retargets r0 (only ALU ops, MOV, LOAD and RET set rd) or the
+// word overlaps a SCAN output buffer. A register-driven scan length has no
+// static bound, so its buffer extends to the end of the block.
+std::vector<int64_t> ParamOffsets(const std::vector<Instruction>& code) {
+  std::vector<std::pair<int64_t, int64_t>> scan_bufs;  // [begin, end)
+  for (const Instruction& inst : code) {
+    if (inst.rd == 0) return {};
+    if (inst.opcode == Opcode::kScan) {
+      const int64_t end = inst.scan_reg != kNoReg
+                              ? INT64_MAX
+                              : inst.aux_offset + 8 * int64_t(inst.scan_count);
+      scan_bufs.emplace_back(inst.aux_offset, end);
+    }
+  }
+  std::vector<int64_t> offsets;
+  for (const Instruction& inst : code) {
+    if (inst.opcode != Opcode::kLoad || inst.rs1 != 0 || inst.imm < 0) continue;
+    const bool in_scan_buf = std::any_of(
+        scan_bufs.begin(), scan_bufs.end(), [&inst](const auto& buf) {
+          return inst.imm + 8 > buf.first && inst.imm < buf.second;
+        });
+    if (!in_scan_buf) offsets.push_back(inst.imm);
+  }
+  std::sort(offsets.begin(), offsets.end());
+  offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
+  return offsets;
+}
 }  // namespace
 
 ProgramBuilder& ProgramBuilder::Add(Reg rd, Reg rs1, Reg rs2) {
@@ -477,6 +506,7 @@ StatusOr<Program> ProgramBuilder::Build() {
   }
   p.gp_regs_used_ = max_gp;
   p.cp_regs_used_ = max_cp;
+  p.param_offsets_ = ParamOffsets(code_);
   BIONICDB_RETURN_IF_ERROR(p.Validate());
   return p;
 }

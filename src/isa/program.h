@@ -33,6 +33,14 @@ class Program {
   uint32_t gp_regs_used() const { return gp_regs_used_; }
   uint32_t cp_regs_used() const { return cp_regs_used_; }
 
+  /// Static set of r0-relative LOAD offsets (GP r0 holds the transaction
+  /// block's data address), sorted and unique: the words the softcore
+  /// prefetches into its on-chip parameter window at admission. Empty when
+  /// the program ever writes r0. Words overlapping a SCAN output buffer
+  /// are left out (the coprocessor writes them), as are negative offsets
+  /// (the block header).
+  const std::vector<int64_t>& param_offsets() const { return param_offsets_; }
+
   /// Multi-line disassembly listing with section markers.
   std::string Disassemble() const;
 
@@ -49,6 +57,7 @@ class Program {
   uint64_t abort_entry_ = 0;
   uint32_t gp_regs_used_ = 0;
   uint32_t cp_regs_used_ = 0;
+  std::vector<int64_t> param_offsets_;
 };
 
 /// Fluent emitter used by workloads and by the text assembler.

@@ -169,5 +169,34 @@ TEST(Assembler, NegativeOffsetsAndImmediates) {
   EXPECT_EQ(p.value().at(1).imm, -8);
 }
 
+TEST(ProgramParamOffsets, SortedUniqueR0LoadsOutsideScanBuffers) {
+  ProgramBuilder b;
+  b.Logic()
+      .Load(1, 0, 24)
+      .Load(2, 0, 8)
+      .Load(3, 0, 24)   // duplicate word
+      .Load(4, 0, -8)   // block header
+      .Load(5, 1, 16);  // not r0-relative
+  b.Scan({.table_id = 0, .cp = 0, .aux_offset = 32, .scan_count = 2});
+  b.Load(6, 0, 40);     // inside the scan's [32, 48) buffer
+  b.Load(7, 0, 48);     // just past it
+  b.Yield().Commit().CommitTxn().Abort().AbortTxn();
+  auto p = b.Build();
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p.value().param_offsets(), (std::vector<int64_t>{8, 24, 48}));
+}
+
+TEST(ProgramParamOffsets, RegisterScanLengthExcludesRestOfBlock) {
+  ProgramBuilder b;
+  b.Logic().Load(2, 0, 8);
+  b.Scan({.table_id = 0, .cp = 0, .aux_offset = 16, .scan_count = 4,
+          .scan_reg = 2});
+  b.Load(3, 0, 4096);  // any offset past the buffer start may be written
+  b.Yield().Commit().CommitTxn().Abort().AbortTxn();
+  auto p = b.Build();
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p.value().param_offsets(), (std::vector<int64_t>{8}));
+}
+
 }  // namespace
 }  // namespace bionicdb::isa

@@ -3,9 +3,13 @@
 // data-dependent RETs, the UNDO-log abort path, and remote write-sets.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "core/engine.h"
 #include "host/driver.h"
 #include "db/tuple.h"
+#include "db/txn_block.h"
 #include "isa/assembler.h"
 #include "isa/program.h"
 
@@ -451,6 +455,222 @@ TEST(SoftcoreCcPolicy, WaitOnDirtyAvoidsRetries) {
   }
   EXPECT_GT(retries[0], 0u) << "blind reject must retry";
   EXPECT_LT(retries[1], retries[0]) << "waiting must reduce retries";
+}
+
+// --- Parameter window (softcore prefetch of r0-relative LOAD words) ------
+
+/// One transaction of `program` on a fresh single-worker engine; `prepare`
+/// writes the block before submission. Returns the engine for inspection.
+struct WindowRun {
+  std::unique_ptr<BionicDb> engine;
+  sim::Addr block = sim::kNullAddr;
+
+  uint64_t Counter(const char* name) {
+    return engine->worker(0).softcore().counters().Get(name);
+  }
+  uint64_t Word(int64_t offset) {
+    return db::TxnBlock(engine->database().dram(), block).ReadU64(offset);
+  }
+};
+
+WindowRun RunWindowProgram(const isa::Program& program, bool event_driven,
+                           const std::function<void(db::TxnBlock*)>& prepare,
+                           const std::function<void(BionicDb*)>& load = {}) {
+  EngineOptions opts;
+  opts.n_workers = 1;
+  opts.timing.event_driven = event_driven;
+  WindowRun run;
+  run.engine = std::make_unique<BionicDb>(opts);
+  if (load) load(run.engine.get());
+  EXPECT_TRUE(run.engine->RegisterProcedure(1, program, 128).ok());
+  db::TxnBlock block = run.engine->AllocateBlock(1);
+  prepare(&block);
+  run.block = block.base();
+  run.engine->Submit(0, block.base());
+  run.engine->Drain();
+  return run;
+}
+
+isa::Program AssembleOrDie(const char* source) {
+  auto program = isa::Assemble(source);
+  EXPECT_TRUE(program.ok()) << program.status();
+  return program.value();
+}
+
+TEST(SoftcoreParamWindow, ExactCountersForKnownProgram) {
+  // Three distinct words, one LOADed twice. The first LOAD issues one
+  // instruction after admission, so it waits for its fill from the end of
+  // its instruction time until the fill's DRAM completion; the rest hit.
+  const isa::Program program = AssembleOrDie(R"(
+    .logic
+      LOAD r1, [r0 + 0]
+      LOAD r2, [r0 + 8]
+      ADD r3, r1, r2
+      LOAD r4, [r0 + 16]
+      ADD r3, r3, r4
+      LOAD r1, [r0 + 0]
+      ADD r3, r3, r1
+      STORE r3, [r0 + 32]
+      YIELD
+    .commit
+      COMMIT
+    .abort
+      ABORT
+  )");
+  EXPECT_EQ(program.param_offsets(), (std::vector<int64_t>{0, 8, 16}));
+  const sim::TimingConfig timing;
+  uint64_t final_cycle[2] = {0, 0};
+  for (bool event_driven : {false, true}) {
+    WindowRun run = RunWindowProgram(program, event_driven, [](db::TxnBlock* b) {
+      b->WriteU64(0, 100);
+      b->WriteU64(8, 20);
+      b->WriteU64(16, 3);
+    });
+    EXPECT_EQ(run.engine->TotalCommitted(), 1u);
+    EXPECT_EQ(run.Word(32), 223u);
+    EXPECT_EQ(run.Counter("param_prefetch_words"), 3u);
+    EXPECT_EQ(run.Counter("param_window_hits"), 4u);
+    EXPECT_EQ(run.Counter("param_fill_wait_cycles"),
+              timing.dram_latency_cycles - 2 * timing.cpu_instruction_cycles);
+    EXPECT_EQ(run.Counter("load_dram_stall"), 0u);
+    // Ten instructions retire: nine logic instructions and COMMIT.
+    EXPECT_EQ(run.engine->worker(0).stats().instructions, 10u);
+    final_cycle[event_driven] = run.engine->simulator().now();
+  }
+  // The fill's wake point is exact: event-driven ends on the same cycle.
+  EXPECT_EQ(final_cycle[0], final_cycle[1]);
+}
+
+TEST(SoftcoreParamWindow, StoreBeforeFillFeedsAbortHandlerLoad) {
+  // The logic phase overwrites a buffered UNDO slot long before its fill
+  // returns; the abort handler, entered a few dozen cycles later (still
+  // before the fill), must read the stored value without waiting.
+  const isa::Program program = AssembleOrDie(R"(
+    .logic
+      MOV r1, #77
+      STORE r1, [r0 + 16]
+      YIELD
+    .commit
+      JMP rollback
+    .abort
+    rollback:
+      LOAD r3, [r0 + 16]
+      STORE r3, [r0 + 24]
+      ABORT
+  )");
+  ASSERT_EQ(program.param_offsets(), (std::vector<int64_t>{16}));
+  for (bool event_driven : {false, true}) {
+    WindowRun run = RunWindowProgram(
+        program, event_driven, [](db::TxnBlock* b) { b->WriteU64(16, 5); });
+    EXPECT_EQ(run.engine->TotalAborted(), 1u);
+    EXPECT_EQ(run.Word(24), 77u);
+    EXPECT_EQ(run.Counter("param_prefetch_words"), 1u);
+    EXPECT_EQ(run.Counter("param_window_hits"), 1u);
+    EXPECT_EQ(run.Counter("param_fill_wait_cycles"), 0u);
+  }
+}
+
+TEST(SoftcoreParamWindow, ProgramWritingR0PrefetchesNothing) {
+  const char* body = R"(
+      LOAD r1, [r0 + 0]
+      LOAD r2, [r0 + 8]
+      ADD r1, r1, r2
+      STORE r1, [r0 + 16]
+      YIELD
+    .commit
+      COMMIT
+    .abort
+      ABORT
+  )";
+  const isa::Program plain =
+      AssembleOrDie((std::string(".logic\n") + body).c_str());
+  // ADD r0, r0, #0 leaves r0's value alone but retargets it statically.
+  const isa::Program writes_r0 = AssembleOrDie(
+      (std::string(".logic\n ADD r0, r0, #0\n") + body).c_str());
+  EXPECT_EQ(plain.param_offsets(), (std::vector<int64_t>{0, 8}));
+  EXPECT_TRUE(writes_r0.param_offsets().empty());
+  const auto prepare = [](db::TxnBlock* b) {
+    b->WriteU64(0, 40);
+    b->WriteU64(8, 2);
+  };
+  WindowRun a = RunWindowProgram(plain, false, prepare);
+  WindowRun b = RunWindowProgram(writes_r0, false, prepare);
+  EXPECT_EQ(a.Word(16), 42u);
+  EXPECT_EQ(b.Word(16), 42u);
+  EXPECT_EQ(a.Counter("param_prefetch_words"), 2u);
+  EXPECT_EQ(b.Counter("param_prefetch_words"), 0u);
+  EXPECT_EQ(b.Counter("param_window_hits"), 0u);
+  EXPECT_EQ(b.engine->database().dram()->total_reads(),
+            a.engine->database().dram()->total_reads())
+      << "the same words, read by LOADs instead of fills";
+}
+
+TEST(SoftcoreParamWindow, LoadInsideScanBufferGoesToDram) {
+  // The coprocessor writes the scan's output buffer [16, 32) while the
+  // transaction runs, so a LOAD there must read DRAM, never a copy taken
+  // at admission. The word at 8 lies outside it and is buffered.
+  const isa::Program program = AssembleOrDie(R"(
+    .logic
+      SCAN t0, key=0, out=16, count=2, cp=0
+      YIELD
+    .commit
+      RET r1, cp0
+      LOAD r2, [r0 + 16]
+      LOAD r3, [r0 + 8]
+      STORE r2, [r0 + 48]
+      STORE r3, [r0 + 56]
+      COMMIT
+    .abort
+      ABORT
+  )");
+  EXPECT_EQ(program.param_offsets(), (std::vector<int64_t>{8}));
+  WindowRun run = RunWindowProgram(
+      program, false,
+      [](db::TxnBlock* b) {
+        b->WriteKeyU64(0, 10);
+        b->WriteU64(8, 1234);
+      },
+      [](BionicDb* engine) {
+        db::TableSchema schema = KvSchema();
+        schema.index = db::IndexKind::kSkiplist;
+        ASSERT_TRUE(engine->database().CreateTable(schema).ok());
+        for (uint64_t k = 10; k < 14; ++k) {
+          ASSERT_TRUE(engine->database().LoadU64(0, 0, k, &k, 8).ok());
+        }
+      });
+  EXPECT_EQ(run.engine->TotalCommitted(), 1u);
+  const uint64_t first = run.Word(16);
+  EXPECT_NE(first, 0u);
+  EXPECT_EQ(run.Word(48), first);
+  EXPECT_EQ(run.Word(56), 1234u);
+  EXPECT_EQ(run.Counter("param_prefetch_words"), 1u);
+  EXPECT_EQ(run.Counter("param_window_hits"), 1u);
+}
+
+TEST(SoftcoreInstructions, DrainSpinAndRetriesAreNotRetired) {
+  // COMMIT spins until the SEARCH result lands (no RET drains it first):
+  // it retires once, however long the spin, in either tick mode.
+  const isa::Program program = AssembleOrDie(R"(
+    .logic
+      SEARCH t0, key=0, cp=0
+      YIELD
+    .commit
+      COMMIT
+    .abort
+      ABORT
+  )");
+  for (bool event_driven : {false, true}) {
+    WindowRun run = RunWindowProgram(
+        program, event_driven, [](db::TxnBlock* b) { b->WriteKeyU64(0, 5); },
+        [](BionicDb* engine) {
+          ASSERT_TRUE(engine->database().CreateTable(KvSchema()).ok());
+          uint64_t payload = 1;
+          ASSERT_TRUE(engine->database().LoadU64(0, 0, 5, &payload, 8).ok());
+        });
+    EXPECT_EQ(run.engine->TotalCommitted(), 1u);
+    EXPECT_GT(run.Counter("commit_wait_cycles"), 0u);
+    EXPECT_EQ(run.engine->worker(0).stats().instructions, 3u);
+  }
 }
 
 }  // namespace

@@ -483,5 +483,148 @@ TEST_F(TpccIntegration, PaymentConservesMoney) {
   EXPECT_EQ(WarehouseYtd(0) + WarehouseYtd(1), total_amount);
 }
 
+// TPC-C NewOrder/Payment mix under every CC scheme, ticked per cycle and
+// event-driven: the functional invariants must hold whatever the timing
+// and abort pattern. Expected values come from the generator's own
+// committed blocks (documented layouts in workload/tpcc.cc: Payment's
+// amount at 40; NewOrder's district key at 8 and its 32-byte item
+// records from 32, ordered quantity at +16).
+struct TpccInvariantCase {
+  cc::CcMode cc_mode;
+  bool event_driven;
+};
+
+class TpccInvariants : public ::testing::TestWithParam<TpccInvariantCase> {};
+
+TEST_P(TpccInvariants, ConsistencyYtdSumsAndNextOid) {
+  constexpr uint32_t kWorkers = 4;
+  core::EngineOptions opts = SmallEngine(kWorkers);
+  opts.cc_mode = GetParam().cc_mode;
+  opts.timing.event_driven = GetParam().event_driven;
+  core::BionicDb engine(opts);
+  workload::Tpcc tpcc(&engine, workload::TpccTestOptions());
+  ASSERT_TRUE(tpcc.Setup().ok());
+  const workload::TpccOptions& to = tpcc.options();
+  const uint32_t n_d = to.districts_per_warehouse;
+  sim::DramMemory* dram = engine.database().dram();
+  const auto payload = [&](db::TableId t, uint32_t w, uint64_t key) {
+    const sim::Addr a = engine.database().FindU64Le(t, w, key);
+    EXPECT_NE(a, sim::kNullAddr);
+    return db::TupleAccessor(dram, a).payload_addr();
+  };
+  const auto warehouse_ytd = [&](uint32_t w) {
+    return dram->Read64(payload(workload::Tpcc::kWarehouse, w,
+                                tpcc.WarehouseKey(w)) +
+                        workload::Tpcc::kWarehouseYtd);
+  };
+  const auto district_field = [&](uint32_t w, uint32_t d, int64_t off) {
+    return dram->Read64(
+        payload(workload::Tpcc::kDistrict, w, tpcc.DistrictKey(w, d)) + off);
+  };
+  const auto stock_ytd_sum = [&]() {
+    uint64_t s = 0;
+    for (uint32_t w = 0; w < kWorkers; ++w) {
+      for (uint32_t i = 0; i < to.items; ++i) {
+        s += dram->Read64(payload(workload::Tpcc::kStock, w,
+                                  tpcc.StockKey(w, i)) +
+                          workload::Tpcc::kStockYtd);
+      }
+    }
+    return s;
+  };
+
+  uint64_t w_ytd_before = 0;
+  for (uint32_t w = 0; w < kWorkers; ++w) w_ytd_before += warehouse_ytd(w);
+  const uint64_t s_ytd_before = stock_ytd_sum();
+  std::vector<uint64_t> next_oid_before;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    for (uint32_t d = 0; d < n_d; ++d) {
+      next_oid_before.push_back(
+          district_field(w, d, workload::Tpcc::kDistrictNextOid));
+    }
+  }
+
+  Rng rng(11);
+  const host::TxnFactory mix = tpcc.Factory(&rng);
+  std::vector<sim::Addr> blocks;
+  host::ClosedLoopOptions loop;
+  loop.inflight_per_worker = 8;
+  loop.txns_per_worker = 60;
+  const host::ClosedLoopResult r = host::RunClosedLoop(
+      &engine,
+      [&](db::WorkerId w) {
+        blocks.push_back(mix(w));
+        return blocks.back();
+      },
+      loop);
+  ASSERT_EQ(r.failed, 0u);
+  ASSERT_EQ(r.committed, uint64_t(kWorkers) * loop.txns_per_worker);
+  // T/O blindly rejects dirty accesses, so the abort handlers' UNDO
+  // restores and the in-place retries run too.
+  if (GetParam().cc_mode == cc::CcMode::kTimestamp) {
+    EXPECT_GT(r.retries, 0u);
+  }
+
+  uint64_t paid = 0;
+  uint64_t ordered = 0;
+  uint64_t committed = 0;
+  std::vector<uint64_t> new_orders(size_t(kWorkers) * n_d, 0);
+  for (sim::Addr addr : blocks) {
+    const db::TxnBlock blk(dram, addr);
+    if (blk.state() != db::TxnState::kCommitted) continue;
+    ++committed;
+    if (blk.txn_type() == workload::Tpcc::kPaymentTxn) {
+      paid += blk.ReadU64(40);
+    } else {
+      ASSERT_EQ(blk.txn_type(), workload::Tpcc::kNewOrderTxn);
+      for (uint32_t i = 0; i < to.ol_cnt; ++i) {
+        ordered += blk.ReadU64(32 + 32 * i + 16);
+      }
+      const uint64_t dkey = blk.ReadU64(8);  // DistrictKey = w * 100 + d
+      ASSERT_LT(dkey / 100, kWorkers);
+      ASSERT_LT(dkey % 100, n_d);
+      ++new_orders[(dkey / 100) * n_d + dkey % 100];
+    }
+  }
+  EXPECT_EQ(committed, r.committed);
+  EXPECT_GT(paid, 0u);
+  EXPECT_GT(ordered, 0u);
+
+  uint64_t w_ytd_after = 0;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    uint64_t d_ytd = 0;
+    for (uint32_t d = 0; d < n_d; ++d) {
+      d_ytd += district_field(w, d, workload::Tpcc::kDistrictYtd);
+    }
+    EXPECT_EQ(warehouse_ytd(w), d_ytd) << "consistency condition 1, w " << w;
+    w_ytd_after += warehouse_ytd(w);
+  }
+  EXPECT_EQ(w_ytd_after - w_ytd_before, paid);
+  EXPECT_EQ(stock_ytd_sum() - s_ytd_before, ordered);
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    for (uint32_t d = 0; d < n_d; ++d) {
+      EXPECT_EQ(district_field(w, d, workload::Tpcc::kDistrictNextOid) -
+                    next_oid_before[w * n_d + d],
+                new_orders[w * n_d + d])
+          << "w " << w << " d " << d;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCcModesBothTickModes, TpccInvariants,
+    ::testing::Values(TpccInvariantCase{cc::CcMode::kTimestamp, false},
+                      TpccInvariantCase{cc::CcMode::kTimestamp, true},
+                      TpccInvariantCase{cc::CcMode::kSgt, false},
+                      TpccInvariantCase{cc::CcMode::kSgt, true},
+                      TpccInvariantCase{cc::CcMode::kMvcc, false},
+                      TpccInvariantCase{cc::CcMode::kMvcc, true}),
+    [](const ::testing::TestParamInfo<TpccInvariantCase>& info) {
+      const char* cc = info.param.cc_mode == cc::CcMode::kTimestamp ? "To"
+                       : info.param.cc_mode == cc::CcMode::kSgt     ? "Sgt"
+                                                                    : "Mvcc";
+      return std::string(cc) + (info.param.event_driven ? "Event" : "PerCycle");
+    });
+
 }  // namespace
 }  // namespace bionicdb
